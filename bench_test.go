@@ -1,6 +1,6 @@
 // Package parcost_test holds the benchmark harness that regenerates every
 // table and figure from the paper's evaluation section, plus ablation
-// benchmarks for the design choices DESIGN.md calls out.
+// benchmarks for the main design choices.
 //
 // Each table and figure has a dedicated benchmark (BenchmarkTableN_* /
 // BenchmarkFigureN_*) that runs the corresponding experiment end-to-end.
@@ -202,9 +202,9 @@ func BenchmarkFigure6_FrontierActiveGoals(b *testing.B) {
 
 // --- Ablation: exact DES vs aggregate makespan model ---
 //
-// Measures the crossover DESIGN.md calls out: small block counts use the
-// exact list scheduler, large counts the aggregate model. This bench times
-// both paths on the same workload.
+// Measures the scheduler crossover: small block counts use the exact list
+// scheduler, large counts the aggregate model. This bench times both paths
+// on the same workload.
 
 func BenchmarkAblation_DESvsAggregate(b *testing.B) {
 	r := rng.New(1)
@@ -288,61 +288,6 @@ func BenchmarkAblation_SplitterEngine(b *testing.B) {
 	}
 }
 
-// --- Ablation: histogram tree engine, serial vs parallel axes ---
-//
-// One wide histogram-tree fit per parallel execution mode at forced worker
-// counts, isolating each axis of the within-fit fan-out: feature-parallel
-// accumulation/split scans, wide-node row sharding, and the auto policy
-// (sized by mat.Workers()). Every mode computes the identical tree — the
-// parallel paths are pure schedules of the same arithmetic — so the ratios
-// here measure scheduling alone. On a single-core host the forced modes
-// measure dispatch overhead (which must be negligible) and auto collapses
-// to serial; on multicore hosts they show each axis's contribution.
-func BenchmarkAblation_HistTree(b *testing.B) {
-	const (
-		rows  = 12288 // 3× the engine's 4096-row shard: wide-node sharding live
-		feats = 10    // ≥ the split-scan fan-out floor
-	)
-	r := rng.New(9)
-	x := make([][]float64, rows)
-	y := make([]float64, rows)
-	for i := range x {
-		row := make([]float64, feats)
-		for j := range row {
-			row[j] = r.Uniform(-5, 5)
-		}
-		x[i] = row
-		y[i] = row[0]*row[1] + 2*row[2] + 0.3*r.Normal()
-	}
-	bm := tree.NewBinnedMatrix(x, 0)
-	rowIdx := make([]int, rows)
-	params := tree.Params{MaxDepth: 8, Splitter: tree.SplitterHist}
-	for _, m := range []struct {
-		name string
-		par  *tree.Parallel
-	}{
-		{"serial", nil},
-		{"feature-w4", tree.NewParallelAxes(4, true, false)},
-		{"row-w4", tree.NewParallelAxes(4, false, true)},
-		{"auto", tree.AutoParallel()},
-	} {
-		b.Run(m.name, func(b *testing.B) {
-			tr := tree.New(params, nil)
-			tr.ShareHistPool(tree.NewHistPool())
-			tr.SetParallel(m.par)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range rowIdx {
-					rowIdx[j] = j
-				}
-				if err := tr.FitBinned(bm, y, rowIdx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Ablation: kernel suite, shared distance plane vs scalar grams ---
 //
 // The kernel models historically rebuilt an n×n gram via scalar Kernel.Eval
@@ -384,10 +329,10 @@ func BenchmarkAblation_KernelGram(b *testing.B) {
 // Cross-validated kernel sweeps factorize the SAME per-fold gram shifted
 // only on the diagonal for every alpha/noise candidate. This bench runs that
 // exact workload — one gram, a log-spaced shift grid, one solve per shift —
-// three ways: a scalar Cholesky per shift (the historical path), a blocked
-// parallel Cholesky per shift, and one EigSym factorization whose ShiftSolve
-// answers every shift in O(n²) (the spectral shift-reuse path the modelsel
-// engine routes shift-axis candidate groups through).
+// two ways: a Cholesky per shift (the historical path), and one EigSym
+// factorization whose ShiftSolve answers every shift in O(n²) (the spectral
+// shift-reuse path the modelsel engine routes shift-axis candidate groups
+// through).
 
 func BenchmarkAblation_SPDSolve(b *testing.B) {
 	r := rng.New(6)
@@ -406,20 +351,7 @@ func BenchmarkAblation_SPDSolve(b *testing.B) {
 				for _, s := range shifts {
 					k := gram.Clone()
 					k.AddScaledIdentity(s)
-					ch, err := mat.NewCholeskyScalar(k)
-					if err != nil {
-						b.Fatal(err)
-					}
-					ch.SolveVec(rhs)
-				}
-			}
-		})
-		b.Run("blocked/n"+itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, s := range shifts {
-					k := gram.Clone()
-					k.AddScaledIdentity(s)
-					ch, err := mat.NewCholeskyBlocked(k)
+					ch, err := mat.NewCholesky(k)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -513,22 +445,6 @@ func BenchmarkRouter_MixedFleet(b *testing.B) {
 				b.Fatal(res.Err)
 			}
 		}
-	}
-}
-
-// --- Ablation: feature scaling effect on a kernel model ---
-
-func BenchmarkAblation_Scaling(b *testing.B) {
-	spec := machine.Frontier()
-	d := ccsd.Generate(spec, ccsd.GenConfig{TargetSize: 600, Noise: true, Seed: 1})
-	train, _ := d.Split(0.25, rng.New(2))
-	trX, trY := train.Features(), train.Targets()
-	// Feature scaling is built into every model; this bench confirms the
-	// kernel-ridge path handles the raw 4-feature layout without blowing up.
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = trX
-		_ = trY
 	}
 }
 

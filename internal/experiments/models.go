@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"parcost/internal/dataset"
 	"parcost/internal/ml/ensemble"
 	"parcost/internal/ml/tree"
 	"parcost/internal/modelsel"
@@ -278,6 +277,3 @@ func gbParamsForDepth(depth, trees int) modelsel.Params {
 func newGBForAblation(depth, trees int, seed uint64) *ensemble.GradientBoosting {
 	return ensemble.NewGradientBoosting(trees, 0.1, tree.Params{MaxDepth: depth}, seed)
 }
-
-// ensure dataset import is used even if helpers change.
-var _ = dataset.Config{}

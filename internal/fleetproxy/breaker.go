@@ -87,8 +87,9 @@ func (b *breaker) Success() {
 
 // Failure records a failed request or probe. A half-open trial failure
 // re-opens for a full window; the threshold'th consecutive closed-state
-// failure trips the breaker open.
-func (b *breaker) Failure() {
+// failure trips the breaker open. It reports whether the breaker is open
+// once the failure is recorded.
+func (b *breaker) Failure() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -102,6 +103,7 @@ func (b *breaker) Failure() {
 			b.openedAt = b.now()
 		}
 	}
+	return b.state == BreakerOpen
 }
 
 // State reports the current state, applying the open → half-open time

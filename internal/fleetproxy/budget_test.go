@@ -133,3 +133,38 @@ func TestProxyRetryBudgetExported(t *testing.T) {
 		t.Fatalf("healthz advertises retry_budget with the budget disabled: %s", body)
 	}
 }
+
+// TestProxyFailoverOffOpenBreakerIsFree pins the budget's one exemption: a
+// retry off a backend whose breaker has just opened is failover, not
+// amplification, so an exhausted budget must not turn one dead primary into
+// a failed request while a healthy replica stands by. With the breaker still
+// closed the same retry is charged, and an empty budget refuses it.
+func TestProxyFailoverOffOpenBreakerIsFree(t *testing.T) {
+	run := func(breakerFailures int) (int, []byte) {
+		f := newTestFleet(t, 2, Config{
+			RetryBudget:     0.2,
+			RetryBackoff:    time.Millisecond,
+			BreakerFailures: breakerFailures,
+			BreakerWindow:   time.Minute,
+			Hedge:           HedgeSpec{Disabled: true},
+		})
+		key := f.keyOwnedBy(t, 0)
+		f.faults[0].Script(faultinject.Err5xx, -1)
+		for f.proxy.budget.Withdraw() { // drain the startup burst
+		}
+		resp, body := f.post(t, "/v1/recommend", map[string]any{"machine": key})
+		return resp.StatusCode, body
+	}
+
+	status, body := run(1)
+	if status != http.StatusOK {
+		t.Fatalf("failover off an open breaker: status %d (%s), want 200 from the replica", status, body)
+	}
+	if got := decodeMap(t, body)["backend"]; got != "backend-1" {
+		t.Fatalf("answered by %v, want replica backend-1", got)
+	}
+
+	if status, body := run(1 << 20); status != http.StatusServiceUnavailable {
+		t.Fatalf("retry off a closed breaker with an empty budget: status %d (%s), want 503", status, body)
+	}
+}

@@ -15,14 +15,14 @@
 //
 // Circuit breaker state machine (breaker.go):
 //
-//	            threshold consecutive failures
-//	  CLOSED ─────────────────────────────────▶ OPEN
-//	    ▲                                        │ window elapses
-//	    │ success (trial request                 ▼
-//	    │ or health probe)                   HALF-OPEN
-//	    └──────────────────────────────────────┘ │
-//	                 ▲                           │ trial/probe fails
-//	                 └───────────────────────────┘ (re-opens, full window)
+//	          threshold consecutive failures
+//	CLOSED ─────────────────────────────────▶ OPEN
+//	  ▲                                        │ window elapses
+//	  │ success (trial request                 ▼
+//	  │ or health probe)                   HALF-OPEN
+//	  └──────────────────────────────────────┘ │
+//	               ▲                           │ trial/probe fails
+//	               └───────────────────────────┘ (re-opens, full window)
 //
 // While OPEN the proxy rejects the backend without touching it; recovery is
 // probe-driven — the background health prober (prober.go) keeps hitting
@@ -73,8 +73,9 @@ type Config struct {
 	// steady state, plus a small startup burst). When a brownout makes every
 	// backend slow or failing, the per-request retry ladder would otherwise
 	// multiply offered QPS by 1+Retries exactly when the fleet can least
-	// afford it. Negative disables the budget (unbounded, pre-budget
-	// behavior).
+	// afford it. Failover off a backend whose breaker is open is not
+	// charged: the dead host's load moves rather than multiplies. Negative
+	// disables the budget (unbounded, pre-budget behavior).
 	RetryBudget float64
 
 	// RetryBackoff is the base backoff before the first retry, doubling per

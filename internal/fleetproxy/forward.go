@@ -107,9 +107,13 @@ func (p *Proxy) roundTrip(ctx context.Context, method, url string, body []byte) 
 // verbatim: Not Implemented states a backend's deliberate configuration
 // (e.g. /v1/observe on a plain serve without the retrain daemon), so a
 // replica would answer the same and failing over just burns the budget.
+//
+// tripped marks a failure that left the backend's breaker open: a retry
+// elsewhere is then failover off a host the fleet has declared dead.
 type attemptOut struct {
-	res upstream
-	err error
+	res     upstream
+	err     error
+	tripped bool
 }
 
 func (a attemptOut) ok() bool {
@@ -130,7 +134,11 @@ func (a attemptOut) ok() bool {
 // initial requests. Under a fleet-wide brownout the per-request ladder would
 // multiply offered backend QPS by 1+Retries (and hedges on top); the budget
 // caps that amplification at ~RetryBudget extra load regardless of how many
-// requests are failing at once.
+// requests are failing at once. The one exemption is failover off a backend
+// whose breaker is open: the fleet has declared that host dead, so moving
+// its request to a replica replaces load rather than adding it. Without the
+// exemption, one crashed backend with many requests in flight would drain
+// the budget and serve stale answers while a healthy replica stood idle.
 func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands []*backendState) (upstream, bool) {
 	p.budget.Deposit() // each initial request earns a fraction of a retry token
 	if len(cands) == 0 {
@@ -162,7 +170,7 @@ func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands
 				b.breaker.Success()
 				p.reservoir.add(p.cfg.Now().Sub(start))
 			} else if ctx.Err() == nil { // a cancelled loser is not a backend failure
-				b.breaker.Failure()
+				out.tripped = b.breaker.Failure()
 			}
 			results <- out
 		}()
@@ -183,7 +191,7 @@ func (p *Proxy) tryBackends(ctx context.Context, path string, body []byte, cands
 			if out.ok() {
 				return out.res, true
 			}
-			if launched < maxSeq && next < len(cands) && p.budget.Withdraw() {
+			if launched < maxSeq && next < len(cands) && (out.tripped || p.budget.Withdraw()) {
 				retries++
 				launch(p.backoff(retries))
 				launched++

@@ -5,24 +5,11 @@ package mat
 // The factor is held in PACKED row-major lower-triangle storage — n(n+1)/2
 // entries instead of n² — halving the resident memory of every fitted kernel
 // model and loaded GP artifact that keeps its factor alive. Factorization
-// itself runs on a full n×n scratch buffer in one of two modes:
-//
-//   - scalar: the reference right-looking column-by-column loop;
-//   - blocked: panel factorization plus a goroutine-parallel GEMM-style
-//     trailing update (the same ikj kernel shape and row fan-out as Mul).
-//
-// The blocked mode subtracts every inner-product term in the same ascending
-// order as the scalar loop, one rounded multiply-subtract at a time, so the
-// two modes produce BIT-IDENTICAL factors at any GOMAXPROCS — the blocked
-// path is a faster schedule of the same arithmetic, not a different
-// algorithm. NewCholesky picks blocked for matrices large enough to pay for
-// the panel machinery and scalar below that.
+// itself runs the scalar column-by-column loop on a full n×n scratch buffer.
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Cholesky holds the lower-triangular factor L of an SPD matrix A = L Lᵀ in
@@ -33,96 +20,17 @@ type Cholesky struct {
 	l []float64 // packed row-major lower triangle, n(n+1)/2 entries
 }
 
-// cholBlockedMin is the matrix size at which NewCholesky switches from the
-// scalar loop to the blocked factorization; below it the panel bookkeeping
-// costs more than it saves.
-const cholBlockedMin = 128
-
-// useBlocked reports whether the auto dispatch should take the blocked path:
-// the panel machinery pays off through its parallel trailing update, so a
-// single-CPU process stays on the scalar loop (the factors are bit-identical
-// either way — this is purely a scheduling choice).
-func useBlocked(n int) bool {
-	return n >= cholBlockedMin && runtime.GOMAXPROCS(0) > 1
-}
-
-// cholPanel is the blocked factorization's base panel width.
-const cholPanel = 48
-
-// cholPanelWidth returns the blocked factorization's panel width for an n×n
-// factor at the given worker count, from BenchmarkCholPanelWidth sweeps:
-// narrow panels keep the parallel trailing update fed when the trailing
-// block is small, wide panels amortize the panel factorization and cut the
-// number of parallel barriers once the trailing block dominates, and wide
-// machines shift the break-even toward wider panels. Factors are
-// bit-identical at ANY width — the trailing update subtracts inner-product
-// terms in ascending column order one multiply-subtract at a time, so panel
-// boundaries are invisible to the arithmetic — making this table purely a
-// throughput choice, free to key on the worker count.
-func cholPanelWidth(n, workers int) int {
-	var p int
-	switch {
-	case n < 2*cholBlockedMin:
-		p = 32
-	case n < 768:
-		p = cholPanel
-	case n < 1536:
-		p = 64
-	default:
-		p = 96
-	}
-	if workers >= 8 && n >= 768 && p < 96 {
-		p = 96
-	}
-	if p > n {
-		p = n
-	}
-	return p
-}
-
-// NewCholesky factorizes the SPD matrix a, choosing the blocked parallel
-// path for large matrices and the scalar reference path otherwise (both
-// produce bit-identical factors). It returns an error if a is not square or
-// not positive definite (within floating-point tolerance). The input is not
-// modified.
+// NewCholesky factorizes the SPD matrix a. It returns an error if a is not
+// square or not positive definite (within floating-point tolerance). The
+// input is not modified.
 func NewCholesky(a *Dense) (*Cholesky, error) {
-	return newCholesky(a, useBlocked(a.RowsN), nil)
-}
-
-// NewCholeskyScalar factorizes with the scalar reference loop regardless of
-// size. Parity tests compare the blocked path against it.
-func NewCholeskyScalar(a *Dense) (*Cholesky, error) {
-	return newCholesky(a, false, nil)
-}
-
-// NewCholeskyBlocked factorizes with the blocked parallel path regardless of
-// size, at the tuned panel width.
-func NewCholeskyBlocked(a *Dense) (*Cholesky, error) {
-	return newCholesky(a, true, nil)
-}
-
-// NewCholeskyBlockedWidth factorizes with the blocked path at a forced panel
-// width (values below 1 are treated as 1). The factor is bit-identical at
-// every width; the width-parity test and the panel-width benchmark sweep
-// widths through this entry point.
-func NewCholeskyBlockedWidth(a *Dense, panel int) (*Cholesky, error) {
-	if panel < 1 {
-		panel = 1
-	}
-	return newCholeskyPanel(a, true, nil, panel)
+	return newCholesky(a, nil)
 }
 
 // newCholesky copies a into an n×n scratch (reusing scratch when it is
 // non-nil and correctly sized), factors it in place, and packs the lower
-// triangle into the resident factor. Blocked factorizations use the tuned
-// panel-width table.
-func newCholesky(a *Dense, blocked bool, scratch []float64) (*Cholesky, error) {
-	return newCholeskyPanel(a, blocked, scratch, 0)
-}
-
-// newCholeskyPanel is newCholesky with an explicit blocked panel width
-// (0 = pick from the tuned table).
-func newCholeskyPanel(a *Dense, blocked bool, scratch []float64, panel int) (*Cholesky, error) {
+// triangle into the resident factor.
+func newCholesky(a *Dense, scratch []float64) (*Cholesky, error) {
 	if a.RowsN != a.ColsN {
 		return nil, fmt.Errorf("mat: Cholesky of non-square %dx%d matrix", a.RowsN, a.ColsN)
 	}
@@ -132,16 +40,7 @@ func newCholeskyPanel(a *Dense, blocked bool, scratch []float64, panel int) (*Ch
 		w = make([]float64, n*n)
 	}
 	copy(w, a.Data)
-	var err error
-	if blocked {
-		if panel <= 0 {
-			panel = cholPanelWidth(n, Workers())
-		}
-		err = cholFactorBlocked(w, n, panel)
-	} else {
-		err = cholFactorPanel(w, n, 0, n)
-	}
-	if err != nil {
+	if err := cholFactor(w, n); err != nil {
 		return nil, err
 	}
 	l := make([]float64, n*(n+1)/2)
@@ -152,16 +51,13 @@ func newCholeskyPanel(a *Dense, blocked bool, scratch []float64, panel int) (*Ch
 	return &Cholesky{n: n, l: l}, nil
 }
 
-// cholFactorPanel factors columns [k0, k1) of the n×n matrix w in place with
-// the right-looking scalar loop, assuming the contributions of all columns
-// below k0 have already been subtracted from w[:, k0:] (for k0 = 0 this is
-// the full scalar factorization). Within the panel every inner product
-// accumulates in ascending column order, one multiply-subtract at a time —
-// the op ordering the blocked trailing update preserves.
-func cholFactorPanel(w []float64, n, k0, k1 int) error {
-	for k := k0; k < k1; k++ {
+// cholFactor factors the n×n matrix w in place with the column-by-column
+// scalar loop. Every inner product accumulates in ascending column order,
+// one multiply-subtract at a time.
+func cholFactor(w []float64, n int) error {
+	for k := 0; k < n; k++ {
 		d := w[k*n+k]
-		wk := w[k*n+k0 : k*n+k]
+		wk := w[k*n : k*n+k]
 		for _, v := range wk {
 			d -= v * v
 		}
@@ -172,7 +68,7 @@ func cholFactorPanel(w []float64, n, k0, k1 int) error {
 		w[k*n+k] = dk
 		for i := k + 1; i < n; i++ {
 			s := w[i*n+k]
-			wi := w[i*n+k0 : i*n+k]
+			wi := w[i*n : i*n+k]
 			for p, v := range wk {
 				s -= wi[p] * v
 			}
@@ -180,94 +76,6 @@ func cholFactorPanel(w []float64, n, k0, k1 int) error {
 		}
 	}
 	return nil
-}
-
-// cholFactorBlocked factors w in place: panel factor, then a parallel
-// trailing update that subtracts the panel's outer product from the
-// remaining lower triangle. Per matrix entry the subtraction order is
-// identical to the scalar loop's, so the result is bit-identical to
-// cholFactorPanel(w, n, 0, n) at any panel width and any worker count.
-func cholFactorBlocked(w []float64, n, panel int) error {
-	// bt holds the transposed panel: bt[p][j] = w[(k1+j)*n + k0+p], so the
-	// trailing update streams both operands contiguously.
-	bt := make([]float64, panel*n)
-	for k0 := 0; k0 < n; k0 += panel {
-		k1 := k0 + panel
-		if k1 > n {
-			k1 = n
-		}
-		if err := cholFactorPanel(w, n, k0, k1); err != nil {
-			return err
-		}
-		if k1 >= n {
-			break
-		}
-		nb, m := k1-k0, n-k1
-		for p := 0; p < nb; p++ {
-			row := bt[p*m : (p+1)*m]
-			for j := 0; j < m; j++ {
-				row[j] = w[(k1+j)*n+k0+p]
-			}
-		}
-		cholTrailingParallel(w, bt, n, k0, k1)
-	}
-	return nil
-}
-
-// cholTrailingParallel fans the trailing update's rows [k1, n) out to
-// goroutines. Row i updates i−k1+1 entries, so equal ROW chunks would hand
-// the last worker ~2× the average work; boundaries at k1 + m·√(k/W) instead
-// give each worker an equal share of the triangle's area. Every entry is
-// still written by exactly one goroutine, so the split cannot change
-// results. The update touches the m(m+1)/2 lower-triangle entries of the
-// trailing block, nb multiply-subtracts each; below the parallel threshold
-// it runs inline.
-func cholTrailingParallel(w, bt []float64, n, k0, k1 int) {
-	nb, m := k1-k0, n-k1
-	workers := runtime.GOMAXPROCS(0)
-	if nb*(m*(m+1)/2) < parallelThreshold || workers < 2 {
-		cholTrailingRows(w, bt, n, k0, k1, k1, n)
-		return
-	}
-	if workers > m {
-		workers = m
-	}
-	var wg sync.WaitGroup
-	prev := k1
-	for k := 1; k <= workers; k++ {
-		hi := k1 + int(math.Round(float64(m)*math.Sqrt(float64(k)/float64(workers))))
-		if k == workers {
-			hi = n
-		}
-		if hi <= prev {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			cholTrailingRows(w, bt, n, k0, k1, lo, hi)
-		}(prev, hi)
-		prev = hi
-	}
-	wg.Wait()
-}
-
-// cholTrailingRows subtracts the current panel's contribution from rows
-// [lo, hi) of the trailing lower triangle: w[i][j] -= Σ_p w[i][p]·w[j][p]
-// for j in [k1, i], with p ascending over the panel — the mulRange ikj loop
-// shape, one rounded multiply-subtract per term like the scalar loop.
-func cholTrailingRows(w, bt []float64, n, k0, k1, lo, hi int) {
-	nb, m := k1-k0, n-k1
-	for i := lo; i < hi; i++ {
-		ci := w[i*n+k1 : i*n+i+1]
-		for p := 0; p < nb; p++ {
-			v := w[i*n+k0+p]
-			btp := bt[p*m : p*m+len(ci)]
-			for j, bv := range btp {
-				ci[j] -= v * bv
-			}
-		}
-	}
 }
 
 // Size returns the factorized dimension.
@@ -317,62 +125,6 @@ func (c *Cholesky) solveInPlace(x []float64) {
 			off += p + 1
 		}
 		x[i] = s / l[i*(i+1)/2+i]
-	}
-}
-
-// SolveMat solves A X = B for all right-hand-side columns at once. The
-// substitutions sweep matrix rows and update every RHS column in one
-// contiguous inner loop (B's row-major layout makes the RHS dimension the
-// fast axis), instead of gathering and scattering one column at a time; for
-// large systems the RHS columns are split across goroutines (the same
-// fan-out Mul and the blocked factorization use). Each column's arithmetic
-// is ordered exactly as SolveVec's, so results are bit-identical to the
-// column-by-column solve at any worker count.
-func (c *Cholesky) SolveMat(b *Dense) *Dense {
-	if b.RowsN != c.n {
-		panic("mat: Cholesky SolveMat dimension mismatch")
-	}
-	out := b.Clone()
-	parallelRows(0, b.ColsN, c.n*c.n*b.ColsN, func(c0, c1 int) {
-		c.solveMatCols(out, c0, c1)
-	})
-	return out
-}
-
-// solveMatCols runs both substitutions over RHS columns [c0, c1) of x, which
-// holds B on entry and X on return.
-func (c *Cholesky) solveMatCols(x *Dense, c0, c1 int) {
-	n, l, m := c.n, c.l, x.ColsN
-	for i, base := 0, 0; i < n; i++ {
-		xi := x.Data[i*m+c0 : i*m+c1]
-		row := l[base : base+i]
-		for p, v := range row {
-			xp := x.Data[p*m+c0 : p*m+c1]
-			for j, pv := range xp {
-				xi[j] -= v * pv
-			}
-		}
-		d := l[base+i]
-		for j := range xi {
-			xi[j] /= d
-		}
-		base += i + 1
-	}
-	for i := n - 1; i >= 0; i-- {
-		xi := x.Data[i*m+c0 : i*m+c1]
-		off := (i+1)*(i+2)/2 + i
-		for p := i + 1; p < n; p++ {
-			v := l[off]
-			off += p + 1
-			xp := x.Data[p*m+c0 : p*m+c1]
-			for j, pv := range xp {
-				xi[j] -= v * pv
-			}
-		}
-		d := l[i*(i+1)/2+i]
-		for j := range xi {
-			xi[j] /= d
-		}
 	}
 }
 
@@ -433,9 +185,8 @@ func SolveSPD(a *Dense, b []float64) ([]float64, error) {
 // factorization workspace across every retry, so the attempts allocate no
 // further n² buffers; a itself is untouched.
 func RobustCholesky(a *Dense) (*Cholesky, error) {
-	blocked := useBlocked(a.RowsN)
 	scratch := make([]float64, a.RowsN*a.ColsN)
-	ch, err := newCholesky(a, blocked, scratch)
+	ch, err := newCholesky(a, scratch)
 	if err == nil {
 		return ch, nil
 	}
@@ -454,7 +205,7 @@ func RobustCholesky(a *Dense) (*Cholesky, error) {
 	for attempt := 0; attempt < 12; attempt++ {
 		work.AddScaledIdentity(jitter)
 		total += jitter
-		if ch, err = newCholesky(work, blocked, scratch); err == nil {
+		if ch, err = newCholesky(work, scratch); err == nil {
 			return ch, nil
 		}
 		jitter *= 10

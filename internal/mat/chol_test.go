@@ -1,155 +1,19 @@
 package mat
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
-
-	"parcost/internal/rng"
 )
 
-// TestCholeskyBlockedBitIdentical asserts the blocked parallel factorization
-// is a faster schedule of the scalar loop's exact arithmetic: the packed
-// factors must match BIT FOR BIT, at every GOMAXPROCS from 1 to 8, on sizes
-// spanning sub-panel, exact-panel-multiple, and ragged-panel shapes.
-func TestCholeskyBlockedBitIdentical(t *testing.T) {
-	r := rng.New(11)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	// 360 is big enough that the first panels' trailing updates cross the
-	// parallel threshold, so the goroutine split itself is under test.
-	for _, n := range []int{1, 7, cholPanel, cholPanel + 1, 3*cholPanel - 5, 200, 360} {
-		a := randSPD(r, n)
-		want, err := NewCholeskyScalar(a)
-		if err != nil {
-			t.Fatalf("n=%d scalar: %v", n, err)
-		}
-		for procs := 1; procs <= 8; procs++ {
-			runtime.GOMAXPROCS(procs)
-			got, err := NewCholeskyBlocked(a)
-			if err != nil {
-				t.Fatalf("n=%d procs=%d blocked: %v", n, procs, err)
-			}
-			for i := range want.l {
-				if got.l[i] != want.l[i] {
-					t.Fatalf("n=%d procs=%d: blocked factor differs from scalar at packed index %d: %v vs %v",
-						n, procs, i, got.l[i], want.l[i])
-				}
-			}
-		}
-	}
-}
-
-// TestCholeskyPanelWidthBitIdentical asserts the panel width is invisible to
-// the arithmetic: every width — ragged, tiny, exact-divisor, wider than n —
-// must reproduce the scalar factor bit for bit at every GOMAXPROCS from 1 to
-// 8. This is what licenses cholPanelWidth to key on the worker count: the
-// table tunes only the schedule, never the result.
-func TestCholeskyPanelWidthBitIdentical(t *testing.T) {
-	r := rng.New(15)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, n := range []int{cholPanel + 1, 200, 360} {
-		a := randSPD(r, n)
-		want, err := NewCholeskyScalar(a)
-		if err != nil {
-			t.Fatalf("n=%d scalar: %v", n, err)
-		}
-		for _, panel := range []int{1, 5, 32, cholPanel, 64, 96, n, n + 7} {
-			for procs := 1; procs <= 8; procs++ {
-				runtime.GOMAXPROCS(procs)
-				got, err := NewCholeskyBlockedWidth(a, panel)
-				if err != nil {
-					t.Fatalf("n=%d panel=%d procs=%d: %v", n, panel, procs, err)
-				}
-				for i := range want.l {
-					if got.l[i] != want.l[i] {
-						t.Fatalf("n=%d panel=%d procs=%d: factor differs from scalar at packed index %d",
-							n, panel, procs, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCholPanelWidthTable pins the tuned table's shape: widths are positive,
-// never exceed n, and auto dispatch on one worker is unaffected (useBlocked
-// keeps single-CPU processes on the scalar loop regardless of the table).
-func TestCholPanelWidthTable(t *testing.T) {
-	for _, n := range []int{cholBlockedMin, 200, 500, 768, 1000, 1536, 4000} {
-		for _, w := range []int{1, 2, 4, 8, 16} {
-			p := cholPanelWidth(n, w)
-			if p < 1 || p > n {
-				t.Fatalf("cholPanelWidth(%d, %d) = %d out of range", n, w, p)
-			}
-		}
-		// More workers must never shrink the panel below the 1-worker pick:
-		// the table widens toward fewer barriers as machines widen.
-		if cholPanelWidth(n, 8) < cholPanelWidth(n, 1) {
-			t.Fatalf("n=%d: panel narrows as workers grow", n)
-		}
-	}
-}
-
-// TestCholeskyAutoDispatch checks that the public constructor produces the
-// same factor on both sides of the blocked cutover.
-func TestCholeskyAutoDispatch(t *testing.T) {
-	r := rng.New(12)
-	for _, n := range []int{cholBlockedMin - 1, cholBlockedMin} {
-		a := randSPD(r, n)
-		auto, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := NewCholeskyScalar(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.l {
-			if auto.l[i] != ref.l[i] {
-				t.Fatalf("n=%d: auto factor differs from scalar at %d", n, i)
-			}
-		}
-	}
-}
-
-// TestCholeskyBlockedNotPD verifies the blocked path reports non-PD input
-// like the scalar path does.
-func TestCholeskyBlockedNotPD(t *testing.T) {
-	n := cholBlockedMin + 10
+// TestCholeskyLargeNotPD verifies a large matrix with one negative diagonal
+// entry deep in the factorization is reported as not positive definite.
+func TestCholeskyLargeNotPD(t *testing.T) {
+	n := 138
 	a := NewDense(n, n)
 	a.AddScaledIdentity(1)
 	a.Set(n-3, n-3, -1) // one negative diagonal entry breaks PD
-	if _, err := NewCholeskyBlocked(a); err == nil {
-		t.Fatal("blocked Cholesky accepted a non-PD matrix")
-	}
-}
-
-// TestSolveMatMatchesSolveVec asserts the blocked multi-RHS solve is
-// bit-identical to per-column SolveVec, including on the goroutine path.
-func TestSolveMatMatchesSolveVec(t *testing.T) {
-	r := rng.New(13)
-	for _, tc := range []struct{ n, m int }{{5, 1}, {12, 7}, {60, 40}, {130, 90}} {
-		a := randSPD(r, tc.n)
-		b := randMatrix(r, tc.n, tc.m)
-		ch, err := NewCholesky(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := ch.SolveMat(b)
-		col := make([]float64, tc.n)
-		for j := 0; j < tc.m; j++ {
-			for i := 0; i < tc.n; i++ {
-				col[i] = b.At(i, j)
-			}
-			xc := ch.SolveVec(col)
-			for i := 0; i < tc.n; i++ {
-				if x.At(i, j) != xc[i] {
-					t.Fatalf("n=%d m=%d: SolveMat differs from SolveVec at (%d,%d): %v vs %v",
-						tc.n, tc.m, i, j, x.At(i, j), xc[i])
-				}
-			}
-		}
+	if _, err := NewCholesky(a); err == nil {
+		t.Fatal("Cholesky accepted a non-PD matrix")
 	}
 }
 
@@ -168,10 +32,10 @@ func TestRobustCholeskyErrorReportsJitter(t *testing.T) {
 	}
 }
 
-// TestRobustCholeskyLargeBlocked exercises the jitter path through the
-// blocked factorization (n above the cutover) on a rank-deficient matrix.
-func TestRobustCholeskyLargeBlocked(t *testing.T) {
-	n := cholBlockedMin + 5
+// TestRobustCholeskyLarge exercises the jitter path on a large
+// rank-deficient matrix.
+func TestRobustCholeskyLarge(t *testing.T) {
+	n := 133
 	one := make([]float64, n)
 	for i := range one {
 		one[i] = 1
@@ -186,68 +50,5 @@ func TestRobustCholeskyLargeBlocked(t *testing.T) {
 	}
 	if ch.Size() != n {
 		t.Fatal("wrong size")
-	}
-}
-
-// TestSolveMatLarge sanity-checks the parallel column path against a known
-// solution.
-func TestSolveMatLarge(t *testing.T) {
-	r := rng.New(14)
-	n, m := 90, 50
-	a := randSPD(r, n)
-	xTrue := randMatrix(r, n, m)
-	b := Mul(a, xTrue)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.SolveMat(b)
-	for i := range x.Data {
-		if !almostEq(x.Data[i], xTrue.Data[i], 1e-7) {
-			t.Fatalf("SolveMat mismatch at %d: %v vs %v", i, x.Data[i], xTrue.Data[i])
-		}
-	}
-}
-
-func BenchmarkCholeskyBlocked200(b *testing.B) {
-	r := rng.New(1)
-	a := randSPD(r, 200)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewCholeskyBlocked(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCholPanelWidth sweeps forced panel widths over a mid-size factor;
-// its trajectory on multicore hosts is the data behind cholPanelWidth's
-// table (any width is bit-identical, so the table is free to chase the
-// fastest schedule per machine shape).
-func BenchmarkCholPanelWidth(b *testing.B) {
-	r := rng.New(3)
-	a := randSPD(r, 360)
-	for _, panel := range []int{32, 48, 64, 96} {
-		b.Run(fmt.Sprintf("panel%d", panel), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := NewCholeskyBlockedWidth(a, panel); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSolveMat(b *testing.B) {
-	r := rng.New(2)
-	a := randSPD(r, 150)
-	rhs := randMatrix(r, 150, 100)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ch.SolveMat(rhs)
 	}
 }

@@ -142,10 +142,8 @@ func Workers() int {
 
 // parallelRows runs f over contiguous sub-ranges of [lo, hi), fanning out to
 // GOMAXPROCS goroutines when the estimated flop count justifies the
-// scheduling overhead. Mul and the multi-RHS Cholesky solve share this
-// fan-out (the blocked factorization's trailing update uses a
-// triangle-balanced variant); since every output element is written by
-// exactly one range, the split cannot change results.
+// scheduling overhead. Mul uses it; since every output element is written
+// by exactly one range, the split cannot change results.
 func parallelRows(lo, hi, flops int, f func(lo, hi int)) {
 	n := hi - lo
 	if n <= 0 {

@@ -245,24 +245,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveMat(t *testing.T) {
-	r := rng.New(7)
-	n := 8
-	a := randSPD(r, n)
-	xTrue := randMatrix(r, n, 3)
-	b := Mul(a, xTrue)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := ch.SolveMat(b)
-	for i := range x.Data {
-		if !almostEq(x.Data[i], xTrue.Data[i], 1e-8) {
-			t.Fatalf("SolveMat mismatch at %d", i)
-		}
-	}
-}
-
 func TestLSolveVec(t *testing.T) {
 	r := rng.New(8)
 	n := 10

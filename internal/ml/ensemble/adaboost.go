@@ -7,7 +7,6 @@ import (
 	"parcost/internal/ml"
 	"parcost/internal/ml/tree"
 	"parcost/internal/rng"
-	"parcost/internal/stats"
 )
 
 // AdaBoost is the AdaBoost.R2 regression ensemble (Drucker 1997): a sequence
@@ -23,23 +22,6 @@ type AdaBoost struct {
 	trees  []*tree.Tree
 	betas  []float64 // per-learner vote weights (log(1/beta))
 	fitted bool
-
-	// fitWorkers bounds the within-round fan-out (0 = auto via
-	// mat.Workers()). AdaBoost rounds are inherently sequential — each
-	// round's weights depend on the last — so the width goes into each
-	// round: within-fit tree parallelism and the full-matrix prediction
-	// gather. Bit-identical at any width.
-	fitWorkers int
-}
-
-// SetFitWorkers bounds the within-round fan-out of subsequent Fit calls
-// (0 = auto, 1 = serial). Implements ml.FitWorkerSetter; results are
-// bit-identical at any width.
-func (a *AdaBoost) SetFitWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	a.fitWorkers = n
 }
 
 // LossKind selects AdaBoost.R2's error transform.
@@ -69,11 +51,9 @@ func (a *AdaBoost) Name() string { return "adaboost" }
 
 // Fit runs the AdaBoost.R2 reweighting loop.
 func (a *AdaBoost) Fit(x [][]float64, y []float64) error {
-	n, err := ml.CheckXY(x, y)
-	if err != nil {
+	if _, err := ml.CheckXY(x, y); err != nil {
 		return err
 	}
-	_ = n
 	N := len(x)
 	weights := make([]float64, N)
 	for i := range weights {
@@ -85,19 +65,14 @@ func (a *AdaBoost) Fit(x [][]float64, y []float64) error {
 
 	params := a.Params
 	params.Splitter = resolveSplitter(params, N)
-	workers := resolveFitWorkers(a.fitWorkers)
 	var bm *tree.BinnedMatrix
 	var pool *tree.HistPool
-	var par *tree.Parallel
 	if params.Splitter == tree.SplitterHist {
 		// Bin the training matrix once; every boosting round fits and
 		// evaluates against it, drawing scratch from one shared pool (the
 		// sequential rounds keep HistPool's single-owner contract).
 		bm = tree.NewBinnedMatrix(x, params.MaxBins)
 		pool = tree.NewHistPool()
-		if workers > 1 {
-			par = tree.NewParallel(workers)
-		}
 	}
 	predBuf := make([]float64, N)
 
@@ -108,7 +83,6 @@ func (a *AdaBoost) Fit(x [][]float64, y []float64) error {
 		tr := tree.New(params, r.Split())
 		if bm != nil {
 			tr.ShareHistPool(pool)
-			tr.SetParallel(par)
 			if err := tr.FitBinned(bm, y, idx); err != nil {
 				return fmt.Errorf("ensemble: adaboost tree %d: %w", m, err)
 			}
@@ -120,12 +94,9 @@ func (a *AdaBoost) Fit(x [][]float64, y []float64) error {
 		}
 		// Rows outside the resample must route exactly as Predict will
 		// route them later, so the vote weights describe the model that
-		// actually serves predictions. Independent row traversals: the
-		// gather parallelizes freely.
+		// actually serves predictions.
 		pred := predBuf
-		parRange(workers, N, func(lo, hi int) {
-			tr.PredictInto(x[lo:hi], pred[lo:hi])
-		})
+		tr.PredictInto(x, pred)
 
 		// Per-sample loss, normalized by the max absolute error.
 		maxErr := 0.0
@@ -266,8 +237,5 @@ func weightedMedian(values, weights []float64) float64 {
 	}
 	return ps[len(ps)-1].v
 }
-
-// ensure the helper set is used even when only the mean is needed.
-var _ = stats.Mean
 
 var _ ml.Regressor = (*AdaBoost)(nil)

@@ -38,52 +38,6 @@ func resolveSplitter(p tree.Params, n int) tree.Splitter {
 	return tree.SplitterExact
 }
 
-// resolveFitWorkers maps a model's SetFitWorkers value (0 = auto) to a
-// concrete width through the audited mat.Workers() choke point.
-func resolveFitWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return mat.Workers()
-}
-
-// gatherMinRows is the training-set size below which the between-round
-// gather loops (residuals, prediction updates, full-matrix tree predicts)
-// stay serial: per-element work is a handful of flops, so small sets can't
-// recoup goroutine overhead.
-const gatherMinRows = 2048
-
-// parRange runs fn over contiguous chunks of [0, n) on up to w goroutines,
-// reusing the calling goroutine for the first chunk. Every index belongs to
-// exactly one chunk, so element-wise loops over disjoint indices are
-// race-free and — being per-element independent — bit-identical at any w.
-// Serial below gatherMinRows or with fewer than two workers.
-func parRange(w, n int, fn func(lo, hi int)) {
-	if w > n {
-		w = n
-	}
-	if w < 2 || n < gatherMinRows {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for g := 1; g < w; g++ {
-		lo, hi := g*n/w, (g+1)*n/w
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	fn(0, n/w)
-	wg.Wait()
-}
-
 // RandomForest is a bagged ensemble of regression trees with per-split
 // feature subsampling, averaging the member predictions. The paper lists it
 // as model "RF".
@@ -95,24 +49,6 @@ type RandomForest struct {
 
 	trees []*tree.Tree
 	name  string
-
-	// fitWorkers bounds Fit's tree-growing fan-out (0 = auto via
-	// mat.Workers(); see ml.FitWorkerSetter). Results are width-independent:
-	// per-tree seeds are pre-derived and trees land at their own index.
-	fitWorkers int
-	// pool persists histogram buffers across Fit calls (the retrain loop
-	// refits forests in place); shard w is owned by worker w of a fit.
-	pool *tree.ShardedHistPool
-}
-
-// SetFitWorkers bounds the fan-out of subsequent Fit calls (0 = auto,
-// 1 = serial). Implements ml.FitWorkerSetter; results are bit-identical at
-// any width.
-func (f *RandomForest) SetFitWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	f.fitWorkers = n
 }
 
 // NewRandomForest returns a random forest. If params.MaxFeatures is zero it
@@ -150,17 +86,10 @@ func (f *RandomForest) Fit(x [][]float64, y []float64) error {
 	}
 
 	params.Splitter = resolveSplitter(params, len(x))
-	workers := resolveFitWorkers(f.fitWorkers)
 	var bm *tree.BinnedMatrix
 	if params.Splitter == tree.SplitterHist {
-		// Bin the training matrix once; every tree fits against it. The
-		// sharded pool outlives the fit: repeated refits (the retrain loop)
-		// reuse last fit's buffers, and each worker owns its shard alone, so
-		// HistPool's single-goroutine contract holds under the fan-out.
+		// Bin the training matrix once; every tree fits against it.
 		bm = tree.NewBinnedMatrix(x, params.MaxBins)
-		if f.pool == nil || f.pool.Shards() < workers {
-			f.pool = tree.NewShardedHistPool(workers)
-		}
 	}
 
 	f.trees = make([]*tree.Tree, f.NumTrees)
@@ -171,6 +100,7 @@ func (f *RandomForest) Fit(x [][]float64, y []float64) error {
 		seeds[i] = base.Uint64()
 	}
 
+	workers := mat.Workers()
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	// The lowest-indexed failure wins so the reported error does not depend
@@ -180,14 +110,11 @@ func (f *RandomForest) Fit(x [][]float64, y []float64) error {
 	var errMu sync.Mutex
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			// Member trees stay serial within their own fit — the fan-out
-			// across trees already fills the budgeted workers.
-			var pool *tree.HistPool
-			if f.pool != nil {
-				pool = f.pool.Shard(w)
-			}
+			// One histogram-buffer pool per worker: recycled across every
+			// tree this worker grows, never shared between goroutines.
+			pool := tree.NewHistPool()
 			for ti := range jobs {
 				tr, err := fitOneForestTree(x, y, bm, params, seeds[ti], sampleN, pool)
 				if err != nil {
@@ -201,7 +128,7 @@ func (f *RandomForest) Fit(x [][]float64, y []float64) error {
 				}
 				f.trees[ti] = tr
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < f.NumTrees; i++ {
 		jobs <- i
@@ -286,23 +213,6 @@ type GradientBoosting struct {
 	// instead of retaining them, letting rounds recycle one node arena.
 	afterRound func(m int, tr *tree.Tree)
 	discard    bool
-
-	// fitWorkers bounds the within-round fan-out (0 = auto via
-	// mat.Workers()). Boosting rounds are inherently sequential, so the
-	// width goes into each round: within-fit tree parallelism plus the
-	// row-parallel residual/prediction gathers between rounds. Bit-identical
-	// at any width.
-	fitWorkers int
-}
-
-// SetFitWorkers bounds the within-round fan-out of subsequent Fit calls
-// (0 = auto, 1 = serial). Implements ml.FitWorkerSetter; results are
-// bit-identical at any width.
-func (g *GradientBoosting) SetFitWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	g.fitWorkers = n
 }
 
 // NewGradientBoosting returns a gradient booster.
@@ -351,18 +261,15 @@ func (g *GradientBoosting) Fit(x [][]float64, y []float64) error {
 
 	params := g.Params
 	params.Splitter = resolveSplitter(params, len(x))
-	workers := resolveFitWorkers(g.fitWorkers)
 	if params.Splitter == tree.SplitterHist {
-		return g.fitHist(x, y, params, pred, residual, r, sub, subN, workers)
+		return g.fitHist(x, y, params, pred, residual, r, sub, subN)
 	}
 
 	step := make([]float64, len(x))
 	for m := 0; m < g.NumTrees; m++ {
-		parRange(workers, len(residual), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				residual[i] = y[i] - pred[i] // negative gradient of ½(y−f)²
-			}
-		})
+		for i := range residual {
+			residual[i] = y[i] - pred[i] // negative gradient of ½(y−f)²
+		}
 		tr := tree.New(params, r.Split())
 		var err error
 		if sub < 1.0 {
@@ -376,12 +283,10 @@ func (g *GradientBoosting) Fit(x [][]float64, y []float64) error {
 			return fmt.Errorf("ensemble: GB tree %d: %w", m, err)
 		}
 		// Update the ensemble prediction over all samples.
-		parRange(workers, len(pred), func(lo, hi int) {
-			tr.PredictInto(x[lo:hi], step[lo:hi])
-			for i := lo; i < hi; i++ {
-				pred[i] += g.LearningRate * step[i]
-			}
-		})
+		tr.PredictInto(x, step)
+		for i := range pred {
+			pred[i] += g.LearningRate * step[i]
+		}
 		if g.afterRound != nil {
 			g.afterRound(m, tr)
 		}
@@ -396,17 +301,10 @@ func (g *GradientBoosting) Fit(x [][]float64, y []float64) error {
 // binned once and shared by all rounds, trees fit against row indices (no
 // per-round feature-matrix copies), and each round's training-set update
 // comes from the just-grown tree's cached leaf assignments instead of a full
-// root-to-leaf traversal of every sample. The worker budget goes into each
-// round (rounds are sequential): within-fit tree parallelism plus
-// row-parallel residual and prediction gathers, all bit-identical at any
-// width.
-func (g *GradientBoosting) fitHist(x [][]float64, y []float64, params tree.Params, pred, residual []float64, r *rng.Source, sub float64, subN, workers int) error {
+// root-to-leaf traversal of every sample.
+func (g *GradientBoosting) fitHist(x [][]float64, y []float64, params tree.Params, pred, residual []float64, r *rng.Source, sub float64, subN int) error {
 	bm := tree.NewBinnedMatrix(x, params.MaxBins)
 	n := len(x)
-	var par *tree.Parallel
-	if workers > 1 {
-		par = tree.NewParallel(workers)
-	}
 	allRows := make([]int, n)
 	for i := range allRows {
 		allRows[i] = i
@@ -426,14 +324,11 @@ func (g *GradientBoosting) fitHist(x [][]float64, y []float64, params tree.Param
 		arena = tree.NewNodeArena()
 	}
 	for m := 0; m < g.NumTrees; m++ {
-		parRange(workers, len(residual), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				residual[i] = y[i] - pred[i] // negative gradient of ½(y−f)²
-			}
-		})
+		for i := range residual {
+			residual[i] = y[i] - pred[i] // negative gradient of ½(y−f)²
+		}
 		tr := tree.New(params, r.Split())
 		tr.ShareHistPool(pool)
-		tr.SetParallel(par)
 		if arena != nil {
 			tr.ShareNodeArena(arena)
 		}
@@ -445,11 +340,8 @@ func (g *GradientBoosting) fitHist(x [][]float64, y []float64, params tree.Param
 			}
 			// Out-of-sample rows weren't assigned leaves during growth, and
 			// they must route exactly as the deployed model will route them —
-			// predict through the float thresholds. Row chunks are
-			// independent traversals, so the gather parallelizes freely.
-			parRange(workers, n, func(lo, hi int) {
-				tr.PredictInto(x[lo:hi], trainBuf[lo:hi])
-			})
+			// predict through the float thresholds.
+			tr.PredictInto(x, trainBuf)
 			step = trainBuf
 		} else {
 			tr.CacheTrainPredictionsInto(trainBuf)
@@ -458,11 +350,9 @@ func (g *GradientBoosting) fitHist(x [][]float64, y []float64, params tree.Param
 			}
 			step = tr.TrainPredictions()
 		}
-		parRange(workers, len(pred), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				pred[i] += g.LearningRate * step[i]
-			}
-		})
+		for i := range pred {
+			pred[i] += g.LearningRate * step[i]
+		}
 		tr.DropTrainCache()
 		if g.afterRound != nil {
 			g.afterRound(m, tr)
@@ -557,9 +447,6 @@ func meanImportances(trees []*tree.Tree) []float64 {
 }
 
 var (
-	_ ml.Regressor       = (*RandomForest)(nil)
-	_ ml.Regressor       = (*GradientBoosting)(nil)
-	_ ml.FitWorkerSetter = (*RandomForest)(nil)
-	_ ml.FitWorkerSetter = (*GradientBoosting)(nil)
-	_ ml.FitWorkerSetter = (*AdaBoost)(nil)
+	_ ml.Regressor = (*RandomForest)(nil)
+	_ ml.Regressor = (*GradientBoosting)(nil)
 )

@@ -5,12 +5,11 @@ import (
 	"runtime"
 	"testing"
 
-	"parcost/internal/ml"
 	"parcost/internal/ml/tree"
 	"parcost/internal/rng"
 )
 
-// snapshotTrees flattens every member tree to its snapshot byte form (the
+// treeSnaps flattens every member tree to its snapshot byte form (the
 // preorder node arrays of tree/snapshot.go), the strongest available
 // equality: two ensembles with equal snapshots grew identical trees node
 // for node, bit for bit.
@@ -48,19 +47,17 @@ func requireSameFit(t *testing.T, name string, wantSnaps [][]byte, wantPred []fl
 	}
 }
 
-// TestEnsemblesParallelBitIdentical is the ensemble-level tentpole
-// contract: GB, RF, and AdaBoost fits must be bit-identical — member-tree
-// node arrays AND predictions — between a forced-serial fit and every
-// combination of GOMAXPROCS ∈ {1,2,4,8} and SetFitWorkers ∈ {auto,2,8}.
-// The GB case is wide enough that member trees cross the row-sharding
-// threshold, so the canonical sharded arithmetic is live inside the fits.
+// TestEnsemblesParallelBitIdentical pins the determinism contract: GB, RF,
+// and AdaBoost fits must be bit-identical — member-tree node arrays AND
+// predictions — at GOMAXPROCS 2, 4 and 8 against a GOMAXPROCS 1 reference.
+// RF grows its members on mat.Workers() goroutines; the boosters are serial
+// and must stay width-independent.
 func TestEnsemblesParallelBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-fit bit-identity battery")
 	}
 	r := rng.New(31)
-	xw, yw := nonlinearData(r, 8500, 0.2) // crosses 2×rowShardSize at the root
-	xs, ys := nonlinearData(r, 700, 0.2)
+	x, y := nonlinearData(r, 700, 0.2)
 
 	type fitResult struct {
 		trees []*tree.Tree
@@ -68,97 +65,48 @@ func TestEnsemblesParallelBitIdentical(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		x    [][]float64
-		y    []float64
-		fit  func(workers int) fitResult
+		fit  func() fitResult
 	}{
-		{"gb-wide", xw, yw, func(workers int) fitResult {
+		{"gb", func() fitResult {
 			g := NewGradientBoosting(6, 0.1, tree.Params{MaxDepth: 5}, 7)
-			g.SetFitWorkers(workers)
-			if err := g.Fit(xw, yw); err != nil {
+			if err := g.Fit(x, y); err != nil {
 				t.Fatal(err)
 			}
-			return fitResult{g.trees, g.Predict(xw[:400])}
+			return fitResult{g.trees, g.Predict(x[:200])}
 		}},
-		{"gb-subsample", xs, ys, func(workers int) fitResult {
+		{"gb-subsample", func() fitResult {
 			g := NewGradientBoosting(10, 0.1, tree.Params{MaxDepth: 4}, 7)
 			g.Subsample = 0.7
-			g.SetFitWorkers(workers)
-			if err := g.Fit(xs, ys); err != nil {
+			if err := g.Fit(x, y); err != nil {
 				t.Fatal(err)
 			}
-			return fitResult{g.trees, g.Predict(xs[:200])}
+			return fitResult{g.trees, g.Predict(x[:200])}
 		}},
-		{"rf", xs, ys, func(workers int) fitResult {
+		{"rf", func() fitResult {
 			f := NewRandomForest(24, tree.Params{MaxDepth: 7}, 11)
-			f.SetFitWorkers(workers)
-			if err := f.Fit(xs, ys); err != nil {
+			if err := f.Fit(x, y); err != nil {
 				t.Fatal(err)
 			}
-			return fitResult{f.trees, f.Predict(xs[:200])}
+			return fitResult{f.trees, f.Predict(x[:200])}
 		}},
-		{"adaboost", xs, ys, func(workers int) fitResult {
+		{"adaboost", func() fitResult {
 			a := NewAdaBoost(10, tree.Params{MaxDepth: 4}, 13)
-			a.SetFitWorkers(workers)
-			if err := a.Fit(xs, ys); err != nil {
+			if err := a.Fit(x, y); err != nil {
 				t.Fatal(err)
 			}
-			return fitResult{a.trees, a.Predict(xs[:200])}
+			return fitResult{a.trees, a.Predict(x[:200])}
 		}},
 	}
 
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
-		runtime.GOMAXPROCS(orig)
-		ref := tc.fit(1) // forced-serial reference
+		runtime.GOMAXPROCS(1)
+		ref := tc.fit()
 		refSnaps := treeSnaps(t, ref.trees)
-		for _, procs := range []int{1, 2, 4, 8} {
+		for _, procs := range []int{2, 4, 8} {
 			runtime.GOMAXPROCS(procs)
-			for _, workers := range []int{0, 2, 8} {
-				got := tc.fit(workers)
-				requireSameFit(t, tc.name, refSnaps, ref.pred, got.trees, got.pred)
-			}
+			got := tc.fit()
+			requireSameFit(t, tc.name, refSnaps, ref.pred, got.trees, got.pred)
 		}
-	}
-}
-
-// TestRandomForestPoolReuseAcrossFits pins the retained sharded pool: a
-// second Fit on the same forest (the retrain loop's pattern) reuses last
-// fit's buffers and must land on the identical model.
-func TestRandomForestPoolReuseAcrossFits(t *testing.T) {
-	r := rng.New(32)
-	x, y := nonlinearData(r, 400, 0.2)
-	f := NewRandomForest(16, tree.Params{MaxDepth: 6}, 9)
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	first := treeSnaps(t, f.trees)
-	p1 := f.Predict(x[:100])
-	if f.pool == nil {
-		t.Fatal("hist-engine forest fit retained no sharded pool")
-	}
-	pool := f.pool
-	if err := f.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if f.pool != pool {
-		t.Fatal("refit rebuilt the sharded pool instead of reusing it")
-	}
-	requireSameFit(t, "refit", first, p1, f.trees, f.Predict(x[:100]))
-}
-
-// TestFitWorkerSetterClamps pins the ml.FitWorkerSetter contract edge:
-// negative values are treated as auto, and the setting persists across Fit
-// calls.
-func TestFitWorkerSetterClamps(t *testing.T) {
-	var fw ml.FitWorkerSetter = NewGradientBoosting(2, 0.1, tree.Params{MaxDepth: 2}, 1)
-	fw.SetFitWorkers(-3)
-	if g := fw.(*GradientBoosting); g.fitWorkers != 0 {
-		t.Fatalf("negative SetFitWorkers stored %d, want 0 (auto)", g.fitWorkers)
-	}
-	fw.SetFitWorkers(4)
-	if g := fw.(*GradientBoosting); g.fitWorkers != 4 {
-		t.Fatalf("SetFitWorkers stored %d, want 4", g.fitWorkers)
 	}
 }

@@ -25,17 +25,6 @@ type Regressor interface {
 	Name() string
 }
 
-// FitWorkerSetter is implemented by models whose Fit can spread work over
-// goroutines. SetFitWorkers bounds that width: 0 restores auto sizing
-// (mat.Workers()), 1 forces a fully serial fit, larger values cap the
-// fan-out. Implementations must keep fit results bit-identical at every
-// width — the setting is pure scheduling — so orchestration layers (the
-// modelsel CV pool) may clamp nested fits to one worker without changing
-// any trace. The setting persists across Fit calls until changed.
-type FitWorkerSetter interface {
-	SetFitWorkers(n int)
-}
-
 // StdPredictor is implemented by models that expose predictive
 // uncertainty (Gaussian processes), required by uncertainty-sampling
 // active learning (Algorithm 1).

@@ -121,11 +121,8 @@ type histBuf struct {
 // time — bufs is an unsynchronized free list, and the buffers it hands out
 // carry the all-zero invariant that only single-owner get/put discipline
 // preserves. Tree growth honors this by construction: the build recursion
-// runs on one goroutine, and within-node parallel helpers only touch
-// buffers the build goroutine acquired for them before dispatch. Concurrent
-// fitters (the RF worker pool) must NOT share one pool; they draw from a
-// ShardedHistPool, whose per-worker shards make the single-owner contract
-// hold per shard with deterministic ownership.
+// runs on one goroutine. Concurrent fitters (the RF worker pool) must NOT
+// share one pool; each worker goroutine owns its own.
 type HistPool struct {
 	bufs      []*histBuf
 	d, stride int // shape stamp; buffers from a different shape are dropped
@@ -140,11 +137,7 @@ func NewHistPool() *HistPool { return &HistPool{} }
 // cost of at most 256−NumBins(f) pooled-but-unused entries per feature.
 const histStride = 256
 
-// histBuilder grows one tree over a BinnedMatrix. The builder itself is
-// single-goroutine: all pool traffic and all dispatch decisions happen on
-// the goroutine running build; par-admitted helpers only ever write state
-// the builder handed them before spawning (disjoint histogram regions,
-// per-shard private buffers, per-feature candidate slots).
+// histBuilder grows one tree over a BinnedMatrix on a single goroutine.
 type histBuilder struct {
 	t      *Tree
 	bm     *BinnedMatrix
@@ -152,17 +145,8 @@ type histBuilder struct {
 	stride int       // histogram entries per feature (histStride)
 	pool   *HistPool
 	arena  *nodeArena
-	useSub bool       // all features at every node → subtraction trick applies
-	feats  []int      // feature universe when useSub
-	par    *Parallel  // within-fit execution policy; nil = serial
-	shards []*histBuf // scratch: per-shard private histograms for wide nodes
-	cands  []featCand // scratch: per-feature best-split candidates
-}
-
-// featCand is one feature's best boundary from a split scan.
-type featCand struct {
-	bin  int
-	gain float64
+	useSub bool  // all features at every node → subtraction trick applies
+	feats  []int // feature universe when useSub
 }
 
 // getHist returns an all-zero histogram buffer from the pool.
@@ -206,34 +190,9 @@ func (hb *histBuilder) putHist(h *histBuf) {
 
 // accumulate adds the given rows into hist for each listed feature,
 // recording each bin's first touch in the occupancy list. hist must be
-// freshly acquired (all-zero), which every call site guarantees.
-//
-// Dispatch, in order: nodes wide enough for rowShardCount to return > 1
-// ALWAYS use the sharded sum (the canonical arithmetic for wide nodes —
-// see parallel.go — whether or not goroutines run it); otherwise a
-// feature-parallel fan-out runs when the policy admits it; otherwise the
-// plain serial loop. Only the first choice affects results, and it depends
-// on nothing but len(rows).
+// freshly acquired (all-zero), which every call site guarantees. The
+// column-major code layout makes the inner loop a sequential gather.
 func (hb *histBuilder) accumulate(hist *histBuf, feats, rows []int) {
-	if shards := rowShardCount(len(rows)); shards > 1 {
-		hb.accumulateSharded(hist, feats, rows, shards)
-		return
-	}
-	if hb.par.featureFanout(len(feats), len(rows)) {
-		// Each chunk of feats is built by exactly one goroutine over the same
-		// row order as the serial loop; per-feature histogram regions and
-		// occupancy lists are disjoint, so this is pure scheduling.
-		hb.par.runChunks(len(feats), func(lo, hi int) {
-			hb.accumulateFeats(hist, feats[lo:hi], rows)
-		})
-		return
-	}
-	hb.accumulateFeats(hist, feats, rows)
-}
-
-// accumulateFeats is the row-order accumulation kernel: the column-major
-// code layout makes the inner loop a sequential gather.
-func (hb *histBuilder) accumulateFeats(hist *histBuf, feats, rows []int) {
 	for _, f := range feats {
 		codes := hb.bm.codes[f]
 		base := f * histStride
@@ -267,61 +226,6 @@ func (hb *histBuilder) accumulateFeats(hist *histBuf, feats, rows []int) {
 			}
 		}
 		hist.occ[f] = occ
-	}
-}
-
-// accumulateSharded is the canonical accumulation for wide nodes: rows split
-// into `shards` contiguous blocks (geometry fixed by rowShardCount, a pure
-// function of len(rows)), each block accumulated into a private all-zero
-// histogram, and the partials folded into hist in ascending shard order —
-// one fixed float-addition order regardless of how many goroutines ran the
-// blocks. The private buffers come from and return to the builder's pool on
-// the calling goroutine, so the pool's single-owner contract holds even
-// when the block builds fan out.
-func (hb *histBuilder) accumulateSharded(hist *histBuf, feats, rows []int, shards int) {
-	if cap(hb.shards) < shards {
-		hb.shards = make([]*histBuf, shards)
-	}
-	parts := hb.shards[:shards]
-	for i := range parts {
-		parts[i] = hb.getHist()
-	}
-	n := len(rows)
-	build := func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			hb.accumulateFeats(parts[s], feats, rows[s*n/shards:(s+1)*n/shards])
-		}
-	}
-	if hb.par.rowFanout() {
-		hb.par.runChunks(shards, build)
-	} else {
-		build(0, shards)
-	}
-	// Fixed-order reduction: shard 0 first, then 1, …  — the serial and
-	// parallel schedules land on identical floats.
-	for _, f := range feats {
-		base := f * histStride
-		h := hist.bins[base : base+histStride : base+histStride]
-		occ := hist.occ[f]
-		for _, part := range parts {
-			pb := part.bins[base : base+histStride : base+histStride]
-			for _, c := range part.occ[f] {
-				e := pb[c]
-				b := &h[c]
-				if b.n == 0 {
-					occ = append(occ, c)
-				}
-				b.n += e.n
-				b.w += e.w
-				b.wy += e.wy
-				b.wy2 += e.wy2
-			}
-		}
-		hist.occ[f] = occ
-	}
-	for i, part := range parts {
-		hb.putHist(part)
-		parts[i] = nil
 	}
 }
 
@@ -377,32 +281,6 @@ func (hb *histBuilder) rowSums(rows []int) histSums {
 // comparison never prefers them; empty bins before the first or after the
 // last occupied bin fail the one-sided-count guards.
 func (hb *histBuilder) bestSplit(hist *histBuf, feats []int, sums histSums) (feat, bin int, gain float64, ok bool) {
-	if hb.par.splitFanout(len(feats)) {
-		// Parallel fill: each feature scanned by exactly one goroutine into
-		// its own candidate slot, then a single-threaded argmax in fixed
-		// feature order — the same strict '>' walk as the serial loop, so
-		// ties resolve to the same (earliest) feature and bin.
-		if cap(hb.cands) < len(feats) {
-			hb.cands = make([]featCand, len(feats))
-		}
-		cands := hb.cands[:len(feats)]
-		hb.par.runChunks(len(feats), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cands[i].bin, cands[i].gain = hb.scanFeature(hist, feats[i], sums)
-			}
-		})
-		bestGain := 0.0
-		bestFeat, bestBin := -1, -1
-		for i, f := range feats {
-			if cands[i].gain > bestGain {
-				bestGain, bestFeat, bestBin = cands[i].gain, f, cands[i].bin
-			}
-		}
-		if bestFeat < 0 {
-			return 0, 0, 0, false
-		}
-		return bestFeat, bestBin, bestGain, true
-	}
 	bestGain := 0.0
 	bestFeat, bestBin := -1, -1
 	for _, f := range feats {
@@ -417,10 +295,9 @@ func (hb *histBuilder) bestSplit(hist *histBuf, feats []int, sums histSums) (fea
 }
 
 // scanFeature walks one feature's bin boundaries and returns its best
-// boundary and gain (gain 0 when no valid candidate beats it). Safe to run
-// concurrently across DIFFERENT features of one buffer: it reads only f's
-// histogram region and mutates only f's occupancy list (the sparse path's
-// in-place sort).
+// boundary and gain (gain 0 when no valid candidate beats it). It reads
+// only f's histogram region and mutates only f's occupancy list (the sparse
+// path's in-place sort).
 func (hb *histBuilder) scanFeature(hist *histBuf, f int, sums histSums) (bin int, gain float64) {
 	parentSSE := sums.sse()
 	bestGain := 0.0

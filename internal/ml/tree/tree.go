@@ -20,23 +20,6 @@
 // Sample weights are supported by both engines so the same tree drives
 // AdaBoost. Fitted trees predict from ordinary float thresholds regardless
 // of the engine that grew them.
-//
-// # Parallel discipline
-//
-// The histogram engine runs multicore under the repo's bit-identical-at-
-// any-GOMAXPROCS contract. Worker counts are sized exclusively through
-// mat.Workers() — the audited GOMAXPROCS choke point; the gomaxprocsdep
-// lint forbids direct runtime reads in this package — and every dispatch
-// decision is made before a goroutine starts (the all-or-nothing admission
-// style of mat's blocked Cholesky). Two within-fit axes exist: feature
-// fan-out, where each feature's histogram region and split scan belongs to
-// exactly one goroutine and cross-feature reductions run single-threaded
-// in fixed feature order (pure scheduling — incapable of changing a bit);
-// and wide-node row sharding, whose shard geometry is a pure function of
-// the node's row count, making the fixed-shard-order reduction the
-// engine's canonical arithmetic whether executed serially or in parallel.
-// See parallel.go for the mechanics, and ShardedHistPool for how
-// concurrent fitters keep HistPool's single-goroutine ownership contract.
 package tree
 
 import (
@@ -119,11 +102,6 @@ type Tree struct {
 	// nodeSlab, when set via ShareNodeArena, recycles node slab storage
 	// across fits of short-lived trees (staged cross-validation).
 	nodeSlab *NodeArena
-
-	// par, when set via SetParallel, lets histogram fits run within-node
-	// work (feature fan-out, wide-node shard builds) on goroutines. Results
-	// are bit-identical at any setting; see parallel.go.
-	par *Parallel
 }
 
 // NodeArena is reusable node slab storage for callers that fit many
@@ -149,15 +127,6 @@ func (t *Tree) ShareNodeArena(na *NodeArena) { t.nodeSlab = na }
 // per-tree allocation to the node slabs. The pool must not be shared across
 // goroutines.
 func (t *Tree) ShareHistPool(p *HistPool) { t.histPool = p }
-
-// SetParallel installs a within-fit execution policy for subsequent
-// histogram fits (the exact engine ignores it). nil restores strictly
-// serial execution. Any policy produces bit-identical trees — parallelism
-// here is pure scheduling (see parallel.go) — so callers choose purely on
-// throughput grounds: ensembles that already parallelize across member
-// trees leave their members serial, while single-tree fits on multicore
-// hosts pass AutoParallel().
-func (t *Tree) SetParallel(p *Parallel) { t.par = p }
 
 // New returns an unfitted tree with the given parameters. The rng is used
 // only when MaxFeatures < dim (random split-feature subsampling); pass a
@@ -277,7 +246,6 @@ func (t *Tree) FitBinnedWeighted(bm *BinnedMatrix, y, w []float64, rows []int) e
 		stride: histStride,
 		pool:   pool,
 		useSub: t.Params.MaxFeatures <= 0 || t.Params.MaxFeatures >= t.dim,
-		par:    t.par,
 	}
 	if t.nodeSlab != nil {
 		hb.arena = &t.nodeSlab.a

@@ -301,53 +301,26 @@ func evalPoints(strategy string, factory Factory, points []Params, space Space, 
 		}
 		return nil
 	}
-	// Pool width is decided here, before any evaluation starts, and pushed
-	// into the plan so nested ensemble fits size themselves against it:
-	// candidate-level parallelism already saturates the budget, so models
-	// under a parallel pool fit serial (fitWorkers 1), while a serial engine
-	// leaves them on auto (0) and single-candidate fits may use the machine.
-	// Pure scheduling either way — ml.FitWorkerSetter fits are bit-identical
-	// at any width — so traces cannot depend on the choice.
-	width := poolWidth(o, len(items))
-	if width > 1 {
-		pl.fitWorkers = 1
-	} else {
-		pl.fitWorkers = 0
-	}
-	// Restore auto once the pool drains: the bayes driver follows evalPoints
-	// with sequential pl.evalOne refinement calls on the same plan.
-	defer func() { pl.fitWorkers = 0 }()
-	if err := runPool(items, width, o.serial, eval); err != nil {
+	if err := runPool(items, o, eval); err != nil {
 		return SearchResult{}, err
 	}
 	return SearchResult{Strategy: strategy, Best: best(trace), Trace: trace, NumEval: len(trace)}, nil
 }
 
-// poolWidth resolves the evaluation pool's worker count for the given item
-// count: the WithWorkers bound, else GOMAXPROCS (this package is one of the
-// audited partitioning layers), capped at the number of items, and 1 in
-// WithSerial mode.
-func poolWidth(o engineOpts, items int) int {
+// runPool executes the items on a bounded worker pool. Errors follow the
+// RF-pool discipline: every item still runs, and the error of the
+// lowest-indexed failing item wins, so the reported failure does not depend
+// on goroutine scheduling. Serial mode runs in order and stops at the first
+// error — the same error the pool would report.
+func runPool(items []workItem, o engineOpts, eval func(workItem) error) error {
 	workers := o.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > items {
-		workers = items
+	if workers > len(items) {
+		workers = len(items)
 	}
-	if o.serial || workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// runPool executes the items on a worker pool of the given width. Errors
-// follow the RF-pool discipline: every item still runs, and the error of the
-// lowest-indexed failing item wins, so the reported failure does not depend
-// on goroutine scheduling. Serial mode runs in order and stops at the first
-// error — the same error the pool would report.
-func runPool(items []workItem, workers int, serial bool, eval func(workItem) error) error {
-	if serial || workers <= 1 {
+	if o.serial || workers <= 1 {
 		for i := range items {
 			if err := eval(items[i]); err != nil {
 				return err

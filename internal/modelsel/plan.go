@@ -29,16 +29,6 @@ type cvPlan struct {
 	scalarGram bool // force pairwise Kernel.Eval grams (reference path)
 	planeOnce  sync.Once
 	plane      *kernel.DistancePlane
-
-	// fitWorkers is pushed into each candidate model that implements
-	// ml.FitWorkerSetter before it fits: 1 while the engine's own worker
-	// pool is parallel (candidate-level parallelism already saturates the
-	// budget; nested fan-out would only oversubscribe), 0 (auto) when the
-	// engine runs serial, so single-candidate refinement fits may use the
-	// machine. Written only by single-threaded engine code before a pool
-	// starts or after it drains — fits are bit-identical at any width, so
-	// the setting can never change a trace.
-	fitWorkers int
 }
 
 // newCVPlan draws the fold splits from r. Candidates evaluated against the
@@ -81,9 +71,6 @@ func (pl *cvPlan) evalOneMode(factory Factory, params Params, spectral bool) (st
 		model, err := factory(params)
 		if err != nil {
 			return stats.Scores{}, err
-		}
-		if fw, ok := model.(ml.FitWorkerSetter); ok {
-			fw.SetFitWorkers(pl.fitWorkers)
 		}
 		_, teY := ml.Subset(pl.x, pl.y, f.Test)
 		var pred []float64
@@ -130,9 +117,6 @@ func (pl *cvPlan) evalStaged(factory Factory, maxParams Params, stages []int) ([
 		sf, ok := model.(ml.StagedFitter)
 		if !ok {
 			return nil, fmt.Errorf("modelsel: staged evaluation of non-staged model %q", model.Name())
-		}
-		if fw, ok := model.(ml.FitWorkerSetter); ok {
-			fw.SetFitWorkers(pl.fitWorkers)
 		}
 		trX, trY := ml.Subset(pl.x, pl.y, f.Train)
 		teX, teY := ml.Subset(pl.x, pl.y, f.Test)
